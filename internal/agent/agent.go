@@ -97,6 +97,10 @@ type running struct {
 	logic   string
 	started time.Time
 	crashed bool
+	// restartAt is when a crashed worker's restart backoff ends; until
+	// then syncTopology leaves it down even if a physical-topology event
+	// (such as this agent's own publishPort) asks for a re-sync.
+	restartAt time.Time
 	// draining marks workers whose assignment disappeared.
 	draining bool
 }
@@ -111,6 +115,11 @@ type Agent struct {
 	// inherit the tuned values.
 	batchSize     atomic.Int64
 	flushDeadline atomic.Int64
+
+	// syncMu serializes syncTopology. A launch publishes its port, which
+	// fires a physical-topology event; a second sync running alongside
+	// would still see the worker as missing or crashed and launch it again.
+	syncMu sync.Mutex
 
 	mu      sync.Mutex
 	workers map[string]map[topology.WorkerID]*running // topo -> id -> worker
@@ -379,6 +388,8 @@ func (a *Agent) syncAll() error {
 
 // syncTopology reconciles this host's workers with the stored assignment.
 func (a *Agent) syncTopology(name string) {
+	a.syncMu.Lock()
+	defer a.syncMu.Unlock()
 	lraw, _, lerr := a.opts.KV.Get(paths.Logical(name))
 	praw, _, perr := a.opts.KV.Get(paths.Physical(name))
 	if lerr != nil || perr != nil {
@@ -414,8 +425,9 @@ func (a *Agent) syncTopology(name string) {
 	}
 	var toStart []topology.Assignment
 	var toDrain []*running
+	now := time.Now()
 	for id, as := range desired {
-		if r, ok := cur[id]; !ok || r.crashed {
+		if r, ok := cur[id]; !ok || (r.crashed && !now.Before(r.restartAt)) {
 			toStart = append(toStart, as)
 		}
 	}
@@ -601,6 +613,7 @@ func (a *Agent) handleCrash(topoName string, id topology.WorkerID, err error) {
 		shift = 6
 	}
 	delay := a.opts.RestartDelay << shift
+	r.restartAt = time.Now().Add(delay)
 	a.mu.Unlock()
 
 	if port != nil {

@@ -32,7 +32,9 @@ func testTopology(t *testing.T) (*topology.Logical, *topology.Physical) {
 	return l, p
 }
 
-func newSDNAgent(t *testing.T) (*Agent, *coordinator.Store, *switchfabric.Switch) {
+// newSDNAgent starts an SDN-mode agent on host h1; tweaks adjust its
+// options before it is built.
+func newSDNAgent(t *testing.T, tweaks ...func(*Options)) (*Agent, *coordinator.Store, *switchfabric.Switch) {
 	t.Helper()
 	store := coordinator.NewStore()
 	sw := switchfabric.New("h1", 1, switchfabric.Options{})
@@ -41,11 +43,15 @@ func newSDNAgent(t *testing.T) (*Agent, *coordinator.Store, *switchfabric.Switch
 	env := worker.NewSharedEnv()
 	env.Set(workload.EnvStats, workload.NewStats(time.Second))
 	env.Set(workload.EnvConfig, workload.NewConfig())
-	a, err := New(Options{
+	opts := Options{
 		Host: "h1", Mode: ModeSDN, KV: store, Switch: sw, Env: env,
 		HeartbeatInterval: 50 * time.Millisecond,
 		DrainDelay:        50 * time.Millisecond,
-	})
+	}
+	for _, tweak := range tweaks {
+		tweak(&opts)
+	}
+	a, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}

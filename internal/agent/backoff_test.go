@@ -91,3 +91,55 @@ func TestAgentCrashRestartBackoff(t *testing.T) {
 		}
 	}
 }
+
+// TestAgentCrashBackoffIgnoresTopologyEvents fires physical-topology events
+// while a crashed worker waits out its restart backoff and asserts none of
+// them relaunches it: only the end of the backoff may. The agent's own
+// publishPort CAS is such an event, so without the guard every restart of
+// a sibling worker would cut a crash-looping worker's backoff short.
+func TestAgentCrashBackoffIgnoresTopologyEvents(t *testing.T) {
+	crashed := make(chan struct{}, 1)
+	a, store, _ := newSDNAgent(t, func(o *Options) {
+		o.RestartDelay = time.Hour // the backoff never ends on its own here
+		o.OnWorkerCrash = func(string, topology.WorkerID, error) { crashed <- struct{}{} }
+	})
+	l, p := testTopology(t)
+	store.Put(paths.Logical(l.Name), l.Encode())
+	store.Put(paths.Physical(l.Name), p.Encode())
+	waitFor(t, 5*time.Second, "workers running", func() bool {
+		return len(a.RunningWorkers("agenttest")) == 2
+	})
+	const sink = topology.WorkerID(2)
+	first := a.Worker("agenttest", sink)
+	first.Fail(fmt.Errorf("test crash"))
+	select {
+	case <-crashed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("crash not observed")
+	}
+
+	// A physical-topology event through the watch path, then a direct,
+	// synchronous re-sync.
+	raw, _, err := store.Get(paths.Physical(l.Name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.Put(paths.Physical(l.Name), raw)
+	a.syncTopology(l.Name)
+	time.Sleep(100 * time.Millisecond) // let the watch event land too
+	if w := a.Worker("agenttest", sink); w != first {
+		t.Fatal("crashed worker relaunched during its restart backoff")
+	}
+	if got := a.RunningWorkers("agenttest"); len(got) != 1 {
+		t.Fatalf("running workers = %v, want only the source", got)
+	}
+
+	// Once the backoff has run out, a re-sync relaunches it.
+	a.mu.Lock()
+	a.workers["agenttest"][sink].restartAt = time.Now()
+	a.mu.Unlock()
+	a.syncTopology(l.Name)
+	if w := a.Worker("agenttest", sink); w == nil || w == first {
+		t.Fatal("crashed worker not relaunched after its backoff")
+	}
+}

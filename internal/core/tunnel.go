@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"typhoon/internal/chaos"
+	"typhoon/internal/packet"
 	"typhoon/internal/switchfabric"
 )
 
@@ -123,11 +124,14 @@ func (t *tunnelEndpoint) close() {
 	t.wg.Wait()
 }
 
-// egressLoop moves frames from the switch's tunnel port onto TCP.
+// egressLoop moves frames from the switch's tunnel port onto TCP. It owns
+// every frame it dequeues (EncapTunnel made each one from the frame pool)
+// and recycles it once the inner frame has been written or dropped.
 func (t *tunnelEndpoint) egressLoop() {
 	defer t.wg.Done()
 	var batch [][]byte
 	var hdr [4]byte
+	touched := map[string]*tunnelConn{}
 	for {
 		batch = batch[:0]
 		var err error
@@ -135,37 +139,16 @@ func (t *tunnelEndpoint) egressLoop() {
 		if err != nil {
 			return
 		}
-		touched := map[string]*tunnelConn{}
+		clear(touched)
 		for _, raw := range batch {
-			host, inner, derr := switchfabric.DecapTunnel(raw)
-			if derr != nil || host == "" {
-				continue
+			host, oc, closed := t.forward(raw, hdr[:])
+			packet.PutFrameBuf(raw) // written (the bufio.Writer copied it) or dropped
+			if closed {
+				return
 			}
-			// Chaos link impairment: drop or delay before the frame
-			// reaches TCP, exactly where a lossy physical link would.
-			if delay, drop := t.netem.Impair(t.host, host); drop {
-				continue
-			} else if delay > 0 {
-				select {
-				case <-t.closed:
-					return
-				case <-time.After(delay):
-				}
+			if oc != nil {
+				touched[host] = oc
 			}
-			oc := t.connTo(host)
-			if oc == nil {
-				continue
-			}
-			binary.BigEndian.PutUint32(hdr[:], uint32(len(inner)))
-			if _, werr := oc.bw.Write(hdr[:]); werr != nil {
-				t.dropConn(host)
-				continue
-			}
-			if _, werr := oc.bw.Write(inner); werr != nil {
-				t.dropConn(host)
-				continue
-			}
-			touched[host] = oc
 		}
 		for host, oc := range touched {
 			if oc.bw.Flush() != nil {
@@ -173,6 +156,42 @@ func (t *tunnelEndpoint) egressLoop() {
 			}
 		}
 	}
+}
+
+// forward writes one encapsulated frame, behind a length header built in
+// hdr, to its destination host's buffered connection. It returns that
+// connection, or nil when the frame was dropped (malformed, impaired,
+// unreachable peer or write error); closed reports shutdown during an
+// impairment delay.
+func (t *tunnelEndpoint) forward(raw, hdr []byte) (host string, oc *tunnelConn, closed bool) {
+	host, inner, derr := switchfabric.DecapTunnel(raw)
+	if derr != nil || host == "" {
+		return "", nil, false
+	}
+	// Chaos link impairment: drop or delay before the frame reaches TCP,
+	// exactly where a lossy physical link would.
+	if delay, drop := t.netem.Impair(t.host, host); drop {
+		return "", nil, false
+	} else if delay > 0 {
+		select {
+		case <-t.closed:
+			return "", nil, true
+		case <-time.After(delay):
+		}
+	}
+	if oc = t.connTo(host); oc == nil {
+		return "", nil, false
+	}
+	binary.BigEndian.PutUint32(hdr, uint32(len(inner)))
+	if _, werr := oc.bw.Write(hdr); werr != nil {
+		t.dropConn(host)
+		return "", nil, false
+	}
+	if _, werr := oc.bw.Write(inner); werr != nil {
+		t.dropConn(host)
+		return "", nil, false
+	}
+	return host, oc, false
 }
 
 func (t *tunnelEndpoint) connTo(host string) *tunnelConn {
@@ -278,7 +297,15 @@ func (t *tunnelEndpoint) ingressLoop(c net.Conn) {
 		if n <= 0 || n > maxTunnelFrame {
 			return
 		}
-		frame := make([]byte, n)
+		// The frame comes from the pool and goes to the switch, whose
+		// receivers recycle it; the frame pool thus circulates across
+		// hosts instead of each tunnelled frame being a fresh allocation.
+		frame := packet.GetFrameBuf()
+		if cap(frame) < n {
+			packet.PutFrameBuf(frame)
+			frame = make([]byte, n)
+		}
+		frame = frame[:n]
 		if _, err := io.ReadFull(br, frame); err != nil {
 			return
 		}
@@ -287,6 +314,9 @@ func (t *tunnelEndpoint) ingressLoop(c net.Conn) {
 		for retries := 0; !ok && retries < 200 && !t.port.Closed(); retries++ {
 			time.Sleep(50 * time.Microsecond)
 			ok = t.port.WriteFrame(frame)
+		}
+		if !ok {
+			packet.PutFrameBuf(frame) // never entered the ring; still ours
 		}
 	}
 }

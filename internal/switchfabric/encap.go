@@ -3,6 +3,8 @@ package switchfabric
 import (
 	"encoding/binary"
 	"errors"
+
+	"typhoon/internal/packet"
 )
 
 // Tunnel encapsulation: frames leaving through a tunnel port are wrapped
@@ -15,9 +17,11 @@ import (
 // ErrBadEncap is returned for malformed tunnel encapsulation.
 var ErrBadEncap = errors.New("switchfabric: malformed tunnel encapsulation")
 
-// EncapTunnel wraps a frame with its tunnel destination host.
+// EncapTunnel wraps a frame with its tunnel destination host. The result is
+// a fresh buffer from the frame pool, owned by the caller; the tunnel
+// endpoint recycles it once the inner frame is written to TCP.
 func EncapTunnel(host string, frame []byte) []byte {
-	out := make([]byte, 0, 2+len(host)+len(frame))
+	out := packet.GetFrameBuf()
 	out = binary.BigEndian.AppendUint16(out, uint16(len(host)))
 	out = append(out, host...)
 	return append(out, frame...)

@@ -1200,7 +1200,7 @@ func (s *Switch) deliver(v *dataView, portNo uint32, frame []byte, tunDst string
 	owned := false // out is the original frame, not a copy
 	switch {
 	case p.tunnel:
-		out = EncapTunnel(tunDst, out) // fresh slice; original untouched
+		out = EncapTunnel(tunDst, out) // pooled copy; original untouched
 	case copied:
 		// already a uniquely-owned copy
 	case *consumed:

@@ -13,6 +13,7 @@ package worker
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -21,6 +22,12 @@ import (
 
 // Emitter is the surface computation logic uses to produce tuples. It is
 // implemented by the worker framework layer.
+//
+// Ownership: the values slice belongs to the caller and is only borrowed for
+// the call. The worker copies it into a reusable scratch before routing, so
+// a tuple handed to Transport.Send may carry values that the next emission
+// overwrites; anything that keeps values past the call (pending ack entries,
+// in-process transports) copies them first.
 type Emitter interface {
 	// Emit sends values on the default stream.
 	Emit(values ...tuple.Value)
@@ -30,6 +37,9 @@ type Emitter interface {
 
 // Context gives computation logic access to its identity and emission.
 type Context struct {
+	// w is set when a worker built the context: emission is then a direct
+	// call, so the caller's variadic values never escape to the heap.
+	w      *Worker
 	em     Emitter
 	id     uint32
 	node   string
@@ -45,10 +55,18 @@ func NewContext(em Emitter, id uint32, node string, index int, env *SharedEnv) *
 }
 
 // Emit sends values on the default stream.
-func (c *Context) Emit(values ...tuple.Value) { c.em.Emit(values...) }
+func (c *Context) Emit(values ...tuple.Value) { c.EmitOn(tuple.DefaultStream, values...) }
 
 // EmitOn sends values on the given stream.
-func (c *Context) EmitOn(s tuple.StreamID, values ...tuple.Value) { c.em.EmitOn(s, values...) }
+func (c *Context) EmitOn(s tuple.StreamID, values ...tuple.Value) {
+	if c.w != nil {
+		c.w.emit(s, values)
+		return
+	}
+	// Other emitters may keep what they are given; a copy keeps the
+	// caller's slice from escaping on the worker path above.
+	c.em.EmitOn(s, slices.Clone(values)...)
+}
 
 // WorkerID returns this worker's physical ID.
 func (c *Context) WorkerID() uint32 { return c.id }

@@ -2,12 +2,17 @@ package worker
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
 // RateLimiter is a token bucket used by the input rate controller of the
 // I/O layer (INPUT_RATE control tuples adjust it at runtime).
 type RateLimiter struct {
+	// unlimited mirrors rate <= 0 so the common unthrottled Allow is one
+	// atomic load instead of a mutex round trip.
+	unlimited atomic.Bool
+
 	mu     sync.Mutex
 	rate   float64 // tokens per second; <= 0 means unlimited
 	tokens float64
@@ -27,6 +32,7 @@ func (l *RateLimiter) SetRate(rate float64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.rate = rate
+	l.unlimited.Store(rate <= 0)
 	l.burst = rate / 100
 	if l.burst < 1 {
 		l.burst = 1
@@ -45,6 +51,9 @@ func (l *RateLimiter) Rate() float64 {
 
 // Allow consumes one token if available.
 func (l *RateLimiter) Allow() bool {
+	if l.unlimited.Load() {
+		return true
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.rate <= 0 {

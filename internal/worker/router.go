@@ -70,12 +70,16 @@ func (r *Router) Routes() []topology.Route {
 	return out
 }
 
-// Route computes the destinations of a tuple: one Destination per out-edge
-// subscribed to the tuple's stream.
-func (r *Router) Route(t tuple.Tuple) []Destination {
+// RouteInto computes the destinations of a tuple — one Destination per
+// out-edge subscribed to the tuple's stream — appends them to dst and
+// returns the extended slice. Every Destination's Workers aliases the
+// routing table, so with a reused dst the data path routes without
+// allocating; the views stay valid after a later Update, which swaps the
+// table instead of mutating it.
+func (r *Router) RouteInto(dst []Destination, t tuple.Tuple) []Destination {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var out []Destination
+	out := dst
 	for _, s := range r.routes {
 		if s.edge.Stream != t.Stream {
 			continue
@@ -105,9 +109,9 @@ func (r *Router) Route(t tuple.Tuple) []Destination {
 			out = append(out, Destination{Workers: s.nextHops, SDNBalanced: true})
 		case topology.Direct:
 			want := topology.WorkerID(t.Field(0).AsInt())
-			for _, h := range s.nextHops {
+			for i, h := range s.nextHops {
 				if h == want {
-					out = append(out, Destination{Workers: []topology.WorkerID{want}})
+					out = append(out, Destination{Workers: s.nextHops[i : i+1]})
 					break
 				}
 			}

@@ -227,52 +227,37 @@ func (t *SDNTransport) writeFrames(frames [][]byte) {
 	}
 }
 
-// Recv implements Transport: frames are read from the switch in batches,
+// Recv implements Transport: frames are read from the switch port,
 // depacketized, and deserialized into tuples through the transport's arena
-// (~0 allocations per tuple in steady state). The returned slice is a window
-// into the transport's reusable decode buffer and is only valid until the
-// next Recv call; the tuples themselves own their storage and may be
-// retained indefinitely.
+// (~0 allocations per tuple in steady state). Frames are dequeued and
+// decoded only until max tuples are in hand or the port is empty, so a
+// backlog waits in the port ring as compact frames rather than as decoded
+// tuples. The returned slice is a window into the transport's reusable
+// decode buffer and is only valid until the next Recv call; the tuples
+// themselves own their storage and may be retained indefinitely.
 func (t *SDNTransport) Recv(max int, wait time.Duration) ([]tuple.Tuple, error) {
 	t.maybeDeadlineFlush()
 	if max <= 0 {
 		max = 256
 	}
 	if len(t.inQueue) == 0 {
-		frames, err := t.port.ReadBatch(t.rxBatch[:0], max, wait)
-		if err != nil {
-			return nil, errTransportClosed
-		}
-		t.rxBatch = frames
+		// One frame per read: a frame's tuple count is only known once it
+		// is dequeued, and a ring read costs the same per frame either way.
 		t.inBuf = t.inBuf[:0]
-		for _, fr := range frames {
-			if t.sink != nil && packet.Traced(fr) {
-				done := packet.AppendTraceHop(fr, packet.TraceHop{
-					Kind: packet.HopDequeue, Actor: uint64(t.self), Detail: uint32(packet.TupleCount(fr)),
-					At: clock.CoarseUnixNano(),
-				})
-				if annex, ok := packet.ExtractTrace(done); ok {
-					t.sink(annex)
-				}
-			}
-			ins, err := t.dpktz.Feed(fr)
+		for len(t.inBuf) < max {
+			frames, err := t.port.ReadBatch(t.rxBatch[:0], 1, wait)
 			if err != nil {
-				t.dropped.Add(1)
-				packet.PutFrameBuf(fr)
-				continue
-			}
-			for _, in := range ins {
-				tp, _, err := tuple.DecodeInto(in.Data, &t.arena)
-				if err != nil {
-					t.dropped.Add(1)
-					continue
+				if len(t.inBuf) > 0 {
+					break // deliver what was decoded; the next Recv reports the close
 				}
-				t.inBuf = append(t.inBuf, tp)
+				return nil, errTransportClosed
 			}
-			// The unique-ownership protocol makes this transport the sole
-			// owner of every frame it dequeues, and DecodeInto copied all
-			// values into the arena, so the buffer can re-enter the pool.
-			packet.PutFrameBuf(fr)
+			t.rxBatch = frames
+			if len(frames) == 0 {
+				break
+			}
+			t.decodeFrame(frames[0])
+			wait = 0
 		}
 		t.inQueue = t.inBuf
 		t.inLen.Store(int64(len(t.inQueue)))
@@ -289,6 +274,37 @@ func (t *SDNTransport) Recv(max int, wait time.Duration) ([]tuple.Tuple, error) 
 	t.inLen.Store(int64(len(t.inQueue)))
 	t.tuplesReceived.Add(uint64(n))
 	return out, nil
+}
+
+// decodeFrame depacketizes one dequeued frame into inBuf and recycles it.
+func (t *SDNTransport) decodeFrame(fr []byte) {
+	if t.sink != nil && packet.Traced(fr) {
+		done := packet.AppendTraceHop(fr, packet.TraceHop{
+			Kind: packet.HopDequeue, Actor: uint64(t.self), Detail: uint32(packet.TupleCount(fr)),
+			At: clock.CoarseUnixNano(),
+		})
+		if annex, ok := packet.ExtractTrace(done); ok {
+			t.sink(annex)
+		}
+	}
+	ins, err := t.dpktz.Feed(fr)
+	if err != nil {
+		t.dropped.Add(1)
+		packet.PutFrameBuf(fr)
+		return
+	}
+	for _, in := range ins {
+		tp, _, err := tuple.DecodeInto(in.Data, &t.arena)
+		if err != nil {
+			t.dropped.Add(1)
+			continue
+		}
+		t.inBuf = append(t.inBuf, tp)
+	}
+	// The unique-ownership protocol makes this transport the sole owner of
+	// every frame it dequeues, and DecodeInto copied all values into the
+	// arena, so the buffer can re-enter the pool.
+	packet.PutFrameBuf(fr)
 }
 
 // Reconfigure implements Transport: BATCH_SIZE tuples adjust the egress

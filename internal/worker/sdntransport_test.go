@@ -396,3 +396,71 @@ func TestWorkerOverSDNTransport(t *testing.T) {
 	}, &seqSource{limit: 500}, srcTr)
 	waitFor(t, 10*time.Second, func() bool { return sink.count() == 500 })
 }
+
+// queueFrames sends n tuples to sink worker 2 in frames of batch tuples and
+// waits until the switch has queued all of them at the sink's port.
+func queueFrames(t *testing.T, src, sink *SDNTransport, n, batch int) {
+	t.Helper()
+	src.SetBatchSize(batch)
+	src.SetFlushDeadline(-1) // frames split on the batch threshold only
+	for i := 0; i < n; i++ {
+		if err := src.Send(Destination{Workers: []topology.WorkerID{2}}, tuple.New(tuple.Int(int64(i)))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_ = src.Flush()
+	frames := (n + batch - 1) / batch
+	waitFor(t, 5*time.Second, func() bool { return sink.port.QueueLen() == frames })
+}
+
+// TestSDNTransportRecvDecodeBound checks that Recv dequeues and decodes
+// frames only until it holds max tuples: the rest of a backlog stays in the
+// port ring as frames, and no tuple is lost from the queue accounting.
+func TestSDNTransportRecvDecodeBound(t *testing.T) {
+	const frames, batch, max = 20, 100, 256
+	_, src, sinks := newSwitchEnv(t, 1)
+	sink := sinks[0]
+	queueFrames(t, src, sink, frames*batch, batch)
+	if got := sink.InQueueLen(); got != frames {
+		t.Fatalf("InQueueLen before Recv = %d, want %d frames", got, frames)
+	}
+
+	out, err := sink.Recv(max, 0)
+	if err != nil || len(out) != max {
+		t.Fatalf("Recv: %d tuples, err %v", len(out), err)
+	}
+	for i, tp := range out {
+		if tp.Field(0).AsInt() != int64(i) {
+			t.Fatalf("tuple %d = %d (order broken)", i, tp.Field(0).AsInt())
+		}
+	}
+	decoded := (max + batch - 1) / batch // frames needed for max tuples
+	if got := sink.port.QueueLen(); got != frames-decoded {
+		t.Fatalf("port queue after Recv = %d frames, want %d", got, frames-decoded)
+	}
+	// Every tuple is still accounted for: delivered, decoded but not yet
+	// delivered, or inside a frame still in the ring.
+	undelivered := sink.InQueueLen() - sink.port.QueueLen()
+	if total := len(out) + undelivered + sink.port.QueueLen()*batch; total != frames*batch {
+		t.Fatalf("tuples accounted = %d, want %d", total, frames*batch)
+	}
+	if got := recvN(t, sink, frames*batch-max); got[0].Field(0).AsInt() != max {
+		t.Fatalf("next Recv starts at %d, want %d", got[0].Field(0).AsInt(), max)
+	}
+}
+
+// TestSDNTransportRecvOneTuplePerFrame checks that frames of one tuple each
+// (batch 1) still fill a Recv up to max tuples.
+func TestSDNTransportRecvOneTuplePerFrame(t *testing.T) {
+	const n, max = 300, 256
+	_, src, sinks := newSwitchEnv(t, 1)
+	sink := sinks[0]
+	queueFrames(t, src, sink, n, 1)
+	out, err := sink.Recv(max, 0)
+	if err != nil || len(out) != max {
+		t.Fatalf("Recv: %d tuples, err %v, want %d", len(out), err, max)
+	}
+	if got := sink.port.QueueLen(); got != n-max {
+		t.Fatalf("port queue after Recv = %d frames, want %d", got, n-max)
+	}
+}

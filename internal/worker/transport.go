@@ -2,6 +2,7 @@ package worker
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"time"
 
@@ -23,7 +24,10 @@ var errTransportClosed = errors.New("worker: transport closed")
 type Transport interface {
 	// Send delivers one tuple to the destination workers. A broadcast
 	// destination asks for network-level replication where available;
-	// transports without it fall back to per-destination sends.
+	// transports without it fall back to per-destination sends. t.Values
+	// is borrowed for the call only — the worker reuses it for its next
+	// emission — so Send must not keep it after it returns: serialize it,
+	// or copy what it hands on.
 	Send(d Destination, t tuple.Tuple) error
 	// SendControl sends a tuple to the SDN controller (METRIC_RESP). On
 	// transports without a controller path it is a no-op.
@@ -125,6 +129,9 @@ func (t *ChanTransport) Send(d Destination, in tuple.Tuple) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.stats.Serializations++ // channel transport "serializes" once
+	// The receivers keep the tuple; one copy of the borrowed values is
+	// shared by all of them (they only read it).
+	in.Values = slices.Clone(in.Values)
 	for _, id := range d.Workers {
 		peer := t.net.lookup(id)
 		if peer == nil {

@@ -3,6 +3,7 @@ package worker
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -120,8 +121,25 @@ type Worker struct {
 	filtered  atomic.Uint64
 	procNanos atomic.Uint64
 
+	// rateWait sums the rate limiter's waits inside the batch being
+	// dispatched, which the batch's execute time excludes.
+	rateWait time.Duration
+
+	// vals and dests are the emission scratch (see emit), reused so the
+	// data path neither moves the caller's values to the heap nor
+	// allocates a destination list per tuple.
+	vals  []tuple.Value
+	dests []Destination
+
 	subs map[tuple.StreamID]bool
 }
+
+// spoutBurst bounds the Spout.Next calls of one loop iteration. The loop's
+// fixed costs — the stop/failure check, the clock read, the flush, replay
+// and stats checks — are then paid once per burst instead of once per
+// tuple, while stop, failure, control tuples and flushes are still seen at
+// least every spoutBurst tuples.
+const spoutBurst = 64
 
 // New builds a worker from config, instantiating its logic and binding it
 // to a transport. Call Start to begin processing.
@@ -169,7 +187,7 @@ func New(cfg Config, tr Transport) (*Worker, error) {
 			w.subs[s] = true
 		}
 	}
-	w.ctx = &Context{em: w, id: uint32(cfg.ID), node: cfg.Node, index: cfg.Index, shared: cfg.Env}
+	w.ctx = &Context{w: w, em: w, id: uint32(cfg.ID), node: cfg.Node, index: cfg.Index, shared: cfg.Env}
 	w.active.Store(!cfg.StartInactive)
 	return w, nil
 }
@@ -322,26 +340,34 @@ func (w *Worker) run() {
 			return
 		}
 		worked := len(tuples) > 0
+		// Execute time is taken once per batch: one clock pair around the
+		// whole dispatch, less the rate limiter's waits.
+		var batchStart time.Time
+		if bolt != nil && worked {
+			batchStart = time.Now()
+			w.rateWait = 0
+		}
 		for _, t := range tuples {
 			if err := w.dispatch(bolt, t); err != nil {
 				failure = err
 				return
 			}
 		}
-
-		// Emission phase for sources.
-		if spout != nil && w.active.Load() && len(w.pending) < w.cfg.MaxPending {
-			if w.rate.Allow() {
-				did, err := spout.Next(w.ctx)
-				if err != nil {
-					failure = fmt.Errorf("worker %d: next: %w", w.cfg.ID, err)
-					return
-				}
-				worked = worked || did
-			}
+		now := time.Now()
+		if !batchStart.IsZero() {
+			w.procNanos.Add(uint64(now.Sub(batchStart) - w.rateWait))
 		}
 
-		now := time.Now()
+		// Emission phase for sources.
+		if spout != nil {
+			did, err := w.nextBurst(spout)
+			if err != nil {
+				failure = fmt.Errorf("worker %d: next: %w", w.cfg.ID, err)
+				return
+			}
+			worked = worked || did
+		}
+
 		if now.Sub(lastFlush) >= w.cfg.FlushInterval {
 			_ = w.tr.Flush()
 			lastFlush = now
@@ -363,6 +389,27 @@ func (w *Worker) run() {
 			}
 		}
 	}
+}
+
+// nextBurst calls Spout.Next up to spoutBurst times. It stops early when
+// the spout runs dry, the pending cap is reached, the rate limiter refuses
+// or the worker is deactivated, and reports whether any call did work.
+func (w *Worker) nextBurst(spout Spout) (bool, error) {
+	worked := false
+	for i := 0; i < spoutBurst; i++ {
+		if !w.active.Load() || len(w.pending) >= w.cfg.MaxPending || !w.rate.Allow() {
+			break
+		}
+		did, err := spout.Next(w.ctx)
+		if err != nil {
+			return worked, err
+		}
+		if !did {
+			break
+		}
+		worked = true
+	}
+	return worked, nil
 }
 
 // dispatch routes one incoming tuple to the right layer.
@@ -389,8 +436,12 @@ func (w *Worker) dispatch(bolt Bolt, t tuple.Tuple) error {
 			w.filtered.Add(1)
 			return nil
 		}
-		for !w.rate.Allow() {
-			time.Sleep(100 * time.Microsecond)
+		if !w.rate.Allow() {
+			start := time.Now()
+			for !w.rate.Allow() {
+				time.Sleep(100 * time.Microsecond)
+			}
+			w.rateWait += time.Since(start)
 		}
 		return w.execute(bolt, t)
 	}
@@ -403,9 +454,7 @@ func (w *Worker) execute(bolt Bolt, t tuple.Tuple) error {
 	w.anchor = w.cfg.Acking && t.Root != 0
 	w.curRoot = t.Root
 	w.curXor = t.ID
-	start := time.Now()
 	err := bolt.Execute(w.ctx, t)
-	w.procNanos.Add(uint64(time.Since(start)))
 	w.processed.Add(1)
 	if err != nil {
 		w.anchor = false
@@ -422,16 +471,28 @@ func (w *Worker) execute(bolt Bolt, t tuple.Tuple) error {
 func (w *Worker) InQueueLen() int { return w.tr.InQueueLen() }
 
 // Emit implements Emitter.
-func (w *Worker) Emit(values ...tuple.Value) { w.EmitOn(tuple.DefaultStream, values...) }
+func (w *Worker) Emit(values ...tuple.Value) { w.emit(tuple.DefaultStream, values) }
 
 // EmitOn implements Emitter.
-func (w *Worker) EmitOn(s tuple.StreamID, values ...tuple.Value) {
-	t := tuple.OnStream(s, values...)
-	dests := w.rt.Route(t)
-	if len(dests) == 0 {
+func (w *Worker) EmitOn(s tuple.StreamID, values ...tuple.Value) { w.emit(s, values) }
+
+// emit is the framework layer's emission path; Context.EmitOn calls it
+// directly. values is only borrowed: it is copied into the worker's vals
+// scratch, the destinations are routed into its dests scratch, and both are
+// handed to Transport.Send, which must not keep them. The two scratch
+// slices are used as stacks — a nested send (the acker INIT inside an
+// acked emission) pushes above the outer tuple and pops before returning —
+// so the outer tuple's views stay intact even if a push reallocates.
+func (w *Worker) emit(s tuple.StreamID, values []tuple.Value) {
+	vbase, dbase := len(w.vals), len(w.dests)
+	w.vals = append(w.vals, values...)
+	t := tuple.Tuple{Stream: s, Values: w.vals[vbase:]}
+	w.dests = w.rt.RouteInto(w.dests, t)
+	if len(w.dests) == dbase {
 		// No subscribers: the tuple is dropped and, crucially, never
 		// joins a tuple tree (an unconsumable edge would otherwise keep
 		// the tree from completing).
+		w.vals = w.vals[:vbase]
 		return
 	}
 	if w.anchor {
@@ -444,31 +505,38 @@ func (w *Worker) EmitOn(s tuple.StreamID, values ...tuple.Value) {
 		t.Root, t.ID = root, root
 		w.pending[root] = &pendingEntry{
 			stream:  s,
-			values:  values,
+			values:  slices.Clone(values), // kept for replay
 			emitted: time.Now(),
 		}
 		w.sendAck(0, root, root, uint64(w.cfg.ID))
 	}
-	for _, d := range dests {
+	for _, d := range w.dests[dbase:] {
 		_ = w.tr.Send(d, t)
 		w.emitted.Add(1)
 	}
+	w.vals, w.dests = w.vals[:vbase], w.dests[:dbase]
 }
 
+// send routes and sends a framework-built tuple through the dests scratch.
 func (w *Worker) send(t tuple.Tuple) {
-	for _, d := range w.rt.Route(t) {
+	dbase := len(w.dests)
+	w.dests = w.rt.RouteInto(w.dests, t)
+	for _, d := range w.dests[dbase:] {
 		_ = w.tr.Send(d, t)
 		w.emitted.Add(1)
 	}
+	w.dests = w.dests[:dbase]
 }
 
 // sendAck emits an acker tuple: kind 0 = INIT (with source worker), kind 1
 // = ACK. Acker tuples travel on tuple.AckStream and are routed by the
 // root's hash so a given tuple tree always meets the same acker.
 func (w *Worker) sendAck(kind int64, root, xor, src uint64) {
-	at := tuple.OnStream(tuple.AckStream,
+	vbase := len(w.vals)
+	w.vals = append(w.vals,
 		tuple.Int(kind), tuple.Int(int64(root)), tuple.Int(int64(xor)), tuple.Int(int64(src)))
-	w.send(at)
+	w.send(tuple.Tuple{Stream: tuple.AckStream, Values: w.vals[vbase:]})
+	w.vals = w.vals[:vbase]
 }
 
 func (w *Worker) handleComplete(t tuple.Tuple) {

@@ -2,6 +2,7 @@ package worker
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -419,22 +420,29 @@ func TestReplayWhenAckerUnreachable(t *testing.T) {
 	}
 }
 
+// TestMaxPendingBackpressure checks the pending cap is exact for a spout
+// that never idles, below and above one spout burst: the loop must check
+// the cap before every Next, not once per burst.
 func TestMaxPendingBackpressure(t *testing.T) {
-	net := NewChanNetwork()
-	deadAck := topology.Route{
-		Edge:     topology.EdgeSpec{From: "src", To: "__acker", Policy: topology.Fields, HashFields: []int{1}, Stream: tuple.AckStream},
-		NextHops: []topology.WorkerID{42},
-	}
-	sink := &collector{}
-	startWorker(t, Config{App: 1, ID: 2, Node: "sink"}, sink, net.Attach(2))
-	startWorker(t, Config{
-		App: 1, ID: 1, Node: "src", Source: true, Acking: true,
-		AckTimeout: time.Hour, MaxPending: 7,
-		Routes: []topology.Route{dataRoute(2, topology.Shuffle), deadAck},
-	}, &seqSource{}, net.Attach(1))
-	time.Sleep(200 * time.Millisecond)
-	if got := sink.count(); got != 7 {
-		t.Fatalf("pending cap not enforced: sink got %d, want 7", got)
+	for _, limit := range []int{7, spoutBurst + spoutBurst/2 + 1} {
+		t.Run(fmt.Sprint(limit), func(t *testing.T) {
+			net := NewChanNetwork()
+			deadAck := topology.Route{
+				Edge:     topology.EdgeSpec{From: "src", To: "__acker", Policy: topology.Fields, HashFields: []int{1}, Stream: tuple.AckStream},
+				NextHops: []topology.WorkerID{42},
+			}
+			sink := &collector{}
+			startWorker(t, Config{App: 1, ID: 2, Node: "sink"}, sink, net.Attach(2))
+			startWorker(t, Config{
+				App: 1, ID: 1, Node: "src", Source: true, Acking: true,
+				AckTimeout: time.Hour, MaxPending: limit,
+				Routes: []topology.Route{dataRoute(2, topology.Shuffle), deadAck},
+			}, &seqSource{}, net.Attach(1))
+			time.Sleep(200 * time.Millisecond)
+			if got := sink.count(); got != limit {
+				t.Fatalf("pending cap not enforced: sink got %d, want %d", got, limit)
+			}
+		})
 	}
 }
 
